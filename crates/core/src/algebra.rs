@@ -12,6 +12,9 @@
 //!   objects of the *same instance* merge; objects with no counterpart
 //!   propagate unchanged. Annotations attached to both input tuples are
 //!   counted once (the `Comment: 22 not 27` example of Fig. 3).
+//! * [`SummaryFold`] — the same merge folded over many tuples (GROUP BY,
+//!   DISTINCT, rollups) in time linear in the input, keeping its dedup
+//!   state across steps instead of rebuilding it at each pairwise merge.
 
 use std::collections::HashSet;
 
@@ -130,18 +133,15 @@ pub fn project_eliminate(
 }
 
 /// Merge two summary objects of the *same instance* attached to two joined
-/// tuples. `common` holds the annotations attached to both input tuples;
-/// it is advisory — every arm below dedups by annotation id globally
-/// (elements per label, snippet sources, cluster members), which subsumes
-/// the common set and is what keeps the merge associative for the
+/// tuples. Annotations attached to both input tuples count once: every arm
+/// dedups by annotation id globally (elements per label, snippet sources,
+/// cluster members), which is what keeps the merge associative for the
 /// parallel gather (DESIGN.md §8).
 pub fn merge_objects(
     a: &SummaryObject,
     b: &SummaryObject,
-    common: &HashSet<AnnotId>,
     resolver: TextResolver<'_>,
 ) -> SummaryObject {
-    let _ = common;
     debug_assert_eq!(
         a.instance_name, b.instance_name,
         "merge requires counterpart objects of the same summary instance"
@@ -197,11 +197,18 @@ pub fn merge_objects(
 ///
 /// * a component of one group passes through **unchanged** (preserving the
 ///   CluStream-built linear sum exactly);
-/// * a multi-group component lists members in first-occurrence order
-///   across the inputs, keeps the first group's representative, and
-///   recomputes `ls` as the sum of the members' TF vectors — valid
-///   because the CF invariant (`ls` = Σ member embeddings, pinned by a
-///   `instn-mining` test) makes `ls` a function of the member *set*.
+/// * a multi-group component lists its members once each in ascending id
+///   order, keeps the first group's representative, and recomputes `ls`
+///   as the sum of the members' TF vectors in that order — valid because
+///   the CF invariant (`ls` = Σ member embeddings, pinned by a
+///   `instn-mining` test) makes `ls` a function of the member *set*. The
+///   canonical order is what makes the result depend only on the member
+///   set: first-occurrence order differs between `((g0·g1)·g2)·g3` and
+///   `(g0·g1)·(g2·g3)`, and so does the order of the f32 sums.
+///
+/// Merging the concatenation of all inputs once therefore equals any
+/// sequence of pairwise merges over them, which lets [`SummaryFold`]
+/// defer the whole cluster merge to its `finish`.
 fn merge_cluster_groups(
     groups: Vec<ClusterGroup>,
     resolver: TextResolver<'_>,
@@ -234,8 +241,8 @@ fn merge_cluster_groups(
             }
         }
     }
-    // Components in first-group order; member lists in first-occurrence
-    // order (both association-invariant under concatenation).
+    // Components in first-group order (association-invariant under
+    // concatenation).
     let mut components: Vec<Vec<usize>> = Vec::new();
     let mut comp_of_root: std::collections::HashMap<usize, usize> = Default::default();
     for gi in 0..groups.len() {
@@ -255,19 +262,18 @@ fn merge_cluster_groups(
             continue;
         }
         let first = &groups[comp[0]];
-        let mut seen: HashSet<AnnotId> = HashSet::new();
-        let mut members: Vec<AnnotId> = Vec::new();
+        let mut members: Vec<AnnotId> = comp
+            .iter()
+            .flat_map(|&gi| groups[gi].members.iter().copied())
+            .collect();
+        members.sort_unstable();
+        members.dedup();
         let mut ls = vec![0.0f32; first.ls.len()];
-        for &gi in &comp {
-            for &m in &groups[gi].members {
-                if seen.insert(m) {
-                    members.push(m);
-                    if let Some(text) = resolver(m) {
-                        let v = hash_tf_vector(&text);
-                        for (l, x) in ls.iter_mut().zip(v.iter()) {
-                            *l += *x as f32;
-                        }
-                    }
+        for &m in &members {
+            if let Some(text) = resolver(m) {
+                let v = hash_tf_vector(&text);
+                for (l, x) in ls.iter_mut().zip(v.iter()) {
+                    *l += *x as f32;
                 }
             }
         }
@@ -288,7 +294,6 @@ fn merge_cluster_groups(
 pub fn merge_summary_sets(
     a: &[SummaryObject],
     b: &[SummaryObject],
-    common: &HashSet<AnnotId>,
     resolver: TextResolver<'_>,
 ) -> Vec<SummaryObject> {
     let mut out: Vec<SummaryObject> = Vec::with_capacity(a.len() + b.len());
@@ -300,7 +305,7 @@ pub fn merge_summary_sets(
         match b.iter().position(|ob| ob.instance_name == oa.instance_name) {
             Some(bi) => {
                 b_used[bi] = true;
-                out.push(merge_objects(oa, &b[bi], common, resolver));
+                out.push(merge_objects(oa, &b[bi], resolver));
             }
             None => out.push(oa.clone()),
         }
@@ -311,6 +316,145 @@ pub fn merge_summary_sets(
         }
     }
     out
+}
+
+/// The left fold of [`merge_summary_sets`] over a sequence of summary sets,
+/// computed incrementally: GROUP BY and DISTINCT absorb one tuple's set
+/// per row, and the parallel gather combines per-worker partial folds.
+///
+/// The pairwise merge clones the accumulated set and rebuilds its dedup
+/// sets at every step, so folding n sets of k annotations costs O(n²k).
+/// This accumulator keeps that state across steps — per-label seen-sets
+/// for classifiers, a seen-set of sources for snippets, and the pending
+/// cluster groups, merged once in [`SummaryFold::finish`] — so each
+/// absorb costs O(size of the incoming set).
+///
+/// Contract: `finish` returns, bit for bit, the left fold of
+/// `merge_summary_sets` over the absorbed sets in order, and absorbing a
+/// partial fold of a suffix ([`SummaryFold::absorb_fold`]) equals
+/// absorbing that suffix's sets one by one. Both hold when, as in every
+/// set the engine builds, an input set holds at most one object per
+/// instance name and the objects of one instance share its label set.
+#[derive(Debug, Default)]
+pub struct SummaryFold {
+    slots: Vec<FoldSlot>,
+}
+
+/// One instance's accumulating object.
+#[derive(Debug)]
+struct FoldSlot {
+    /// The instance's first object, grown in place by later merges.
+    obj: SummaryObject,
+    /// Whether a counterpart was merged in. An object that never meets one
+    /// passes through unchanged, as in `merge_summary_sets`.
+    merged: bool,
+    /// Dedup state, built at the first merge: one id set per classifier
+    /// label, or one set of snippet sources. Empty for clusters.
+    seen: Vec<HashSet<AnnotId>>,
+}
+
+impl FoldSlot {
+    /// Merge a counterpart's payload in: [`merge_objects`] without
+    /// re-reading what the slot already holds.
+    fn merge(&mut self, rep: Rep) {
+        if !self.merged {
+            self.merged = true;
+            self.seen = match &self.obj.rep {
+                Rep::Classifier(c) => c
+                    .elements
+                    .iter()
+                    .map(|ids| ids.iter().copied().collect())
+                    .collect(),
+                Rep::Snippet(s) => vec![s.entries.iter().map(|e| e.source).collect()],
+                Rep::Cluster(_) => Vec::new(),
+            };
+        }
+        match (&mut self.obj.rep, rep) {
+            (Rep::Classifier(acc), Rep::Classifier(inc)) => {
+                for (li, seen) in self.seen.iter_mut().enumerate() {
+                    if let Some(bi) = inc.labels.iter().position(|l| *l == acc.labels[li]) {
+                        for &id in &inc.elements[bi] {
+                            if seen.insert(id) {
+                                acc.elements[li].push(id);
+                            }
+                        }
+                    }
+                }
+            }
+            (Rep::Snippet(acc), Rep::Snippet(inc)) => {
+                // Sources repeated within one incoming set all pass: the
+                // pairwise merge tests against the accumulated set only.
+                let seen = &mut self.seen[0];
+                let before = acc.entries.len();
+                acc.entries.extend(
+                    inc.entries
+                        .into_iter()
+                        .filter(|e| !seen.contains(&e.source)),
+                );
+                seen.extend(acc.entries[before..].iter().map(|e| e.source));
+            }
+            (Rep::Cluster(acc), Rep::Cluster(inc)) => acc.groups.extend(inc.groups),
+            _ => unreachable!("same instance implies same rep type"),
+        }
+    }
+}
+
+impl SummaryFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fold in one tuple's summary set.
+    pub fn absorb(&mut self, set: Vec<SummaryObject>) {
+        for obj in set {
+            self.absorb_slot(FoldSlot {
+                obj,
+                merged: false,
+                seen: Vec::new(),
+            });
+        }
+    }
+
+    /// Fold in a partial fold of the sets that follow this fold's own.
+    pub fn absorb_fold(&mut self, other: SummaryFold) {
+        for slot in other.slots {
+            self.absorb_slot(slot);
+        }
+    }
+
+    fn absorb_slot(&mut self, slot: FoldSlot) {
+        let name = &slot.obj.instance_name;
+        match self.slots.iter_mut().find(|s| s.obj.instance_name == *name) {
+            Some(mine) => mine.merge(slot.obj.rep),
+            None => self.slots.push(slot),
+        }
+    }
+
+    /// The merged summary set.
+    pub fn finish(self, resolver: TextResolver<'_>) -> Vec<SummaryObject> {
+        self.slots
+            .into_iter()
+            .map(|slot| {
+                let mut obj = slot.obj;
+                if slot.merged {
+                    match &mut obj.rep {
+                        Rep::Classifier(c) => {
+                            for (count, ids) in c.counts.iter_mut().zip(&c.elements) {
+                                *count = ids.len() as u64;
+                            }
+                        }
+                        Rep::Snippet(_) => {}
+                        Rep::Cluster(c) => {
+                            c.groups =
+                                merge_cluster_groups(std::mem::take(&mut c.groups), resolver);
+                        }
+                    }
+                }
+                obj
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -344,8 +488,7 @@ mod tests {
         // r: Comment {1,2,3}; s: Comment {3,4}. Common {3} counted once.
         let a = classifier(7, &[("Comment", &[1, 2, 3])]);
         let b = classifier(7, &[("Comment", &[3, 4])]);
-        let common: HashSet<AnnotId> = [AnnotId(3)].into();
-        let m = merge_objects(&a, &b, &common, &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Classifier(c) = &m.rep else { panic!() };
         assert_eq!(c.counts[0], 4, "3 must not be double counted");
         assert_eq!(c.elements[0].len(), 4);
@@ -359,8 +502,7 @@ mod tests {
         let b_ids: Vec<u64> = (3..=12).collect(); // shares 3..=7 (5 ids)
         let a = classifier(1, &[("Comment", &a_ids)]);
         let b = classifier(1, &[("Comment", &b_ids)]);
-        let common: HashSet<AnnotId> = (3..=7).map(AnnotId).collect();
-        let m = merge_objects(&a, &b, &common, &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Classifier(c) = &m.rep else { panic!() };
         assert_eq!(c.counts[0], 12, "7 + 10 - 5 common");
     }
@@ -382,7 +524,7 @@ mod tests {
                     .collect(),
             }),
         };
-        let m = merge_objects(&mk(&[1, 2]), &mk(&[2, 3]), &HashSet::new(), &no_text);
+        let m = merge_objects(&mk(&[1, 2]), &mk(&[2, 3]), &no_text);
         let Rep::Snippet(s) = &m.rep else { panic!() };
         let mut src: Vec<u64> = s.entries.iter().map(|e| e.source.0).collect();
         src.sort_unstable();
@@ -415,8 +557,7 @@ mod tests {
         // a: {A1: 1,2,5}, {A5: 5is not here...}; per Fig 3:
         let a = cluster(&[("A1", 1, &[1, 2]), ("A5", 5, &[5, 6])]);
         let b = cluster(&[("B5", 7, &[2, 7]), ("B7", 8, &[8, 9])]);
-        let common: HashSet<AnnotId> = [AnnotId(2)].into();
-        let m = merge_objects(&a, &b, &common, &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Cluster(c) = &m.rep else { panic!() };
         // A1 and B5 share member 2 -> combined; A5, B7 propagate separately.
         assert_eq!(c.groups.len(), 3);
@@ -443,7 +584,7 @@ mod tests {
         // the bridged group and in a's second group.
         let a = cluster(&[("A1", 1, &[1]), ("A2", 2, &[2])]);
         let b = cluster(&[("B1", 1, &[1, 2])]);
-        let m = merge_objects(&a, &b, &HashSet::from([AnnotId(1), AnnotId(2)]), &no_text);
+        let m = merge_objects(&a, &b, &no_text);
         let Rep::Cluster(c) = &m.rep else { panic!() };
         let mut seen = HashSet::new();
         for g in &c.groups {
@@ -467,9 +608,8 @@ mod tests {
         let x = cluster(&[("A1", 1, &[1, 2]), ("A5", 5, &[5])]);
         let y = cluster(&[("B2", 2, &[2, 3])]);
         let z = cluster(&[("C3", 3, &[3, 4]), ("C9", 9, &[9])]);
-        let none = HashSet::new();
-        let xy_z = merge_objects(&merge_objects(&x, &y, &none, &texts), &z, &none, &texts);
-        let x_yz = merge_objects(&x, &merge_objects(&y, &z, &none, &texts), &none, &texts);
+        let xy_z = merge_objects(&merge_objects(&x, &y, &texts), &z, &texts);
+        let x_yz = merge_objects(&x, &merge_objects(&y, &z, &texts), &texts);
         assert_eq!(xy_z, x_yz);
         let Rep::Cluster(c) = &xy_z.rep else { panic!() };
         // 1-2, 2-3, 3-4 chain transitively into one group; 5 and 9 stay.
@@ -480,12 +620,38 @@ mod tests {
         );
     }
 
+    /// Regression: multi-group components listed members in
+    /// first-occurrence order, so the serial fold `((g0·g1)·g2)·g3` gave
+    /// `[1, 3, 2]` where the gather tree `(g0·g1)·(g2·g3)` gave
+    /// `[1, 2, 3]`, with `ls` summed in a different order.
+    #[test]
+    fn cluster_merge_member_order_is_canonical() {
+        let texts = |id: AnnotId| Some(format!("w{} t{} u{}", id.0, id.0 * 7, id.0 % 2));
+        let g0 = cluster(&[("G0", 1, &[1])]);
+        let g1 = cluster(&[("G1", 2, &[2])]);
+        let g2 = cluster(&[("G2", 1, &[1, 3])]);
+        let g3 = cluster(&[("G3", 3, &[3, 2])]);
+        let m = |a: &SummaryObject, b: &SummaryObject| merge_objects(a, b, &texts);
+        let serial = m(&m(&m(&g0, &g1), &g2), &g3);
+        let tree = m(&m(&g0, &g1), &m(&g2, &g3));
+        assert_eq!(serial, tree);
+        let Rep::Cluster(c) = &serial.rep else {
+            panic!()
+        };
+        assert_eq!(c.groups.len(), 1);
+        assert_eq!(
+            c.groups[0].members,
+            vec![AnnotId(1), AnnotId(2), AnnotId(3)]
+        );
+        assert_eq!(c.groups[0].rep_annot, AnnotId(1), "first group's rep kept");
+    }
+
     #[test]
     fn merge_sets_propagates_unmatched_objects() {
         // r has instances 1 and 2; s has instance 1 and 9.
         let a = vec![classifier(1, &[("X", &[1])]), classifier(2, &[("Y", &[2])])];
         let b = vec![classifier(1, &[("X", &[3])]), classifier(9, &[("Z", &[4])])];
-        let m = merge_summary_sets(&a, &b, &HashSet::new(), &no_text);
+        let m = merge_summary_sets(&a, &b, &no_text);
         assert_eq!(m.len(), 3);
         let merged = m.iter().find(|o| o.instance_id == InstanceId(1)).unwrap();
         let Rep::Classifier(c) = &merged.rep else {
@@ -538,16 +704,15 @@ mod tests {
         // then eliminating X, for classifier objects (set semantics).
         let a = classifier(1, &[("L", &[1, 2, 3])]);
         let b = classifier(1, &[("L", &[3, 4])]);
-        let common: HashSet<AnnotId> = [AnnotId(3)].into();
         let removed = [AnnotId(2), AnnotId(3)];
 
         let mut ea = vec![a.clone()];
         let mut eb = vec![b.clone()];
         project_eliminate(&mut ea, &removed, &no_text);
         project_eliminate(&mut eb, &removed, &no_text);
-        let m1 = merge_objects(&ea[0], &eb[0], &common, &no_text);
+        let m1 = merge_objects(&ea[0], &eb[0], &no_text);
 
-        let mut m2 = vec![merge_objects(&a, &b, &common, &no_text)];
+        let mut m2 = vec![merge_objects(&a, &b, &no_text)];
         project_eliminate(&mut m2, &removed, &no_text);
 
         assert_eq!(m1.rep, m2[0].rep);

@@ -74,6 +74,15 @@ pub(crate) fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     Ok(u64::from_le_bytes(get_arr(bytes, pos)?))
 }
 
+/// A capacity for `n` elements whose count was read from untrusted bytes:
+/// no more than the bytes left after `pos` can hold at `min_encoded` bytes
+/// an element, so an inflated count cannot make the reservation abort the
+/// process. A count that still exceeds the input fails on the first
+/// truncated element instead.
+pub(crate) fn bounded_capacity(n: usize, bytes: &[u8], pos: usize, min_encoded: usize) -> usize {
+    n.min(bytes.len().saturating_sub(pos) / min_encoded)
+}
+
 pub(crate) fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String> {
     let len = get_u32(bytes, pos)? as usize;
     let end = *pos + len;
@@ -173,7 +182,8 @@ pub(crate) fn get_scope(bytes: &[u8], pos: &mut usize) -> Result<InstanceScope> 
         0 => InstanceScope::All,
         1 => {
             let n = get_u32(bytes, pos)? as usize;
-            let mut markers = Vec::with_capacity(n);
+            // A marker is at least its u32 length.
+            let mut markers = Vec::with_capacity(bounded_capacity(n, bytes, *pos, 4));
             for _ in 0..n {
                 markers.push(get_str(bytes, pos)?);
             }
@@ -330,11 +340,13 @@ impl Database {
 
         // Tables + tuples.
         let n_tables = get_u32(bytes, &mut pos)? as usize;
-        let mut table_ids = Vec::with_capacity(n_tables);
+        // A table is at least a name length, a column count and a tuple count.
+        let mut table_ids = Vec::with_capacity(bounded_capacity(n_tables, bytes, pos, 16));
         for _ in 0..n_tables {
             let name = get_str(bytes, &mut pos)?;
             let n_cols = get_u32(bytes, &mut pos)? as usize;
-            let mut cols = Vec::with_capacity(n_cols);
+            // A column is at least a name length and a type tag.
+            let mut cols = Vec::with_capacity(bounded_capacity(n_cols, bytes, pos, 5));
             for _ in 0..n_cols {
                 let cname = get_str(bytes, &mut pos)?;
                 let ty = column_type_from(get_u8(bytes, &mut pos)?)?;
@@ -381,11 +393,14 @@ impl Database {
             let author = get_str(bytes, &mut pos)?;
             let text = get_str(bytes, &mut pos)?;
             let n_att_tables = get_u32(bytes, &mut pos)? as usize;
-            let mut per_table: Vec<(TableId, Vec<Attachment>)> = Vec::with_capacity(n_att_tables);
+            // Per table: a table id and an attachment count.
+            let mut per_table: Vec<(TableId, Vec<Attachment>)> =
+                Vec::with_capacity(bounded_capacity(n_att_tables, bytes, pos, 8));
             for _ in 0..n_att_tables {
                 let t = TableId(get_u32(bytes, &mut pos)?);
                 let n_atts = get_u32(bytes, &mut pos)? as usize;
-                let mut atts = Vec::with_capacity(n_atts);
+                // An attachment is at least an OID and a column-set tag.
+                let mut atts = Vec::with_capacity(bounded_capacity(n_atts, bytes, pos, 9));
                 for _ in 0..n_atts {
                     let oid = Oid(get_u64(bytes, &mut pos)?);
                     let columns = match get_u8(bytes, &mut pos)? {
@@ -566,6 +581,29 @@ mod tests {
         let mut bytes = db.dump().unwrap();
         bytes.truncate(bytes.len() / 2);
         assert!(Database::restore(&bytes).is_err());
+    }
+
+    /// A dump whose checksum is intact but whose counts are inflated must be
+    /// rejected, not abort the process reserving room for them.
+    #[test]
+    fn restore_rejects_inflated_counts() {
+        let bytes = build().dump().unwrap();
+        let body = bytes.len() - 4;
+        // Header: magic, revision, annotation counter, next instance, next
+        // object; then the table count and the first table's name.
+        let n_tables = 8 + 8 + 8 + 4 + 8;
+        let name_len = u32::from_le_bytes(bytes[n_tables + 4..n_tables + 8].try_into().unwrap());
+        let n_cols = n_tables + 4 + 4 + name_len as usize;
+        for at in [n_tables, n_cols] {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let crc = instn_storage::crc32(&b[..body]);
+            b[body..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(Database::restore(&b), Err(CoreError::Corrupt(_))),
+                "count at {at}"
+            );
+        }
     }
 
     #[test]

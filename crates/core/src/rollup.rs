@@ -12,6 +12,7 @@
 
 use instn_storage::{Oid, TableId};
 
+use crate::algebra::SummaryFold;
 use crate::db::Database;
 use crate::maintain::SummaryDelta;
 use crate::summary::{InstanceId, ObjId, Rep, SummaryObject};
@@ -41,18 +42,21 @@ impl TableRollup {
         let empty = instance.new_object(ObjId(u64::MAX), Oid(0));
         let resolver = db.text_resolver();
         let storage = db.summary_storage(table);
-        let mut acc = empty;
+        // The merge's element-union semantics de-duplicate shared
+        // annotations across tuples, mirroring the join operator.
+        let mut fold = SummaryFold::new();
+        fold.absorb(vec![empty]);
         for oid in storage.oids() {
             for obj in storage.read(oid)? {
-                if obj.instance_id != instance_id {
-                    continue;
+                if obj.instance_id == instance_id {
+                    fold.absorb(vec![obj]);
                 }
-                // The merge's element-union semantics de-duplicate shared
-                // annotations across tuples, mirroring the join operator.
-                let common = std::collections::HashSet::new();
-                acc = crate::algebra::merge_objects(&acc, &obj, &common, &resolver);
             }
         }
+        let mut acc = fold
+            .finish(&resolver)
+            .pop()
+            .expect("the fold holds the instance's object");
         acc.tuple_id = Oid(0); // sentinel: whole-table scope
         Ok(TableRollup {
             table,

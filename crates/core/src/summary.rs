@@ -17,7 +17,12 @@
 use instn_annot::AnnotId;
 use instn_storage::Oid;
 
+use crate::persist::bounded_capacity;
 use crate::{CoreError, Result};
+
+/// Fewest bytes an encoded [`SummaryObject`] takes: ids, the name's
+/// length, the tuple id, the rep tag and the rep's element count.
+const MIN_OBJECT_BYTES: usize = 8 + 4 + 4 + 8 + 1 + 4;
 
 /// Identifier of a summary instance within a database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -296,7 +301,7 @@ impl SummaryObject {
                     c.labels.push(get_str(bytes, pos)?);
                     c.counts.push(get_u64(bytes, pos)?);
                     let m = get_u32(bytes, pos)? as usize;
-                    let mut ids = Vec::with_capacity(m);
+                    let mut ids = Vec::with_capacity(bounded_capacity(m, bytes, *pos, 8));
                     for _ in 0..m {
                         ids.push(AnnotId(get_u64(bytes, pos)?));
                     }
@@ -322,12 +327,12 @@ impl SummaryObject {
                     let rep_text = get_str(bytes, pos)?;
                     let size = get_u64(bytes, pos)?;
                     let m = get_u32(bytes, pos)? as usize;
-                    let mut members = Vec::with_capacity(m);
+                    let mut members = Vec::with_capacity(bounded_capacity(m, bytes, *pos, 8));
                     for _ in 0..m {
                         members.push(AnnotId(get_u64(bytes, pos)?));
                     }
                     let l = get_u32(bytes, pos)? as usize;
-                    let mut ls = Vec::with_capacity(l);
+                    let mut ls = Vec::with_capacity(bounded_capacity(l, bytes, *pos, 4));
                     for _ in 0..l {
                         ls.push(f32::from_le_bytes(get_arr(bytes, pos)?));
                     }
@@ -367,7 +372,7 @@ pub fn encode_objects(objects: &[SummaryObject]) -> Vec<u8> {
 pub fn decode_objects(bytes: &[u8]) -> Result<Vec<SummaryObject>> {
     let mut pos = 0usize;
     let n = get_u32(bytes, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(bounded_capacity(n, bytes, pos, MIN_OBJECT_BYTES));
     for _ in 0..n {
         out.push(SummaryObject::decode(bytes, &mut pos)?);
     }
@@ -492,6 +497,51 @@ mod tests {
         classifier_obj().encode(&mut bytes);
         let mut pos = 0;
         assert!(SummaryObject::decode(&bytes[..bytes.len() - 3], &mut pos).is_err());
+    }
+
+    /// Counts read from the bytes must not size allocations: `ff ff ff 7f`
+    /// claimed 2^31 - 1 objects and aborted the process on reserving them.
+    #[test]
+    fn decode_rejects_inflated_counts() {
+        let corrupt = |r: Result<Vec<SummaryObject>>| matches!(r, Err(CoreError::Corrupt(_)));
+        assert!(corrupt(decode_objects(&[0xff, 0xff, 0xff, 0x7f])));
+        let set = vec![classifier_obj(), snippet_obj(), cluster_obj()];
+        let bytes = encode_objects(&set);
+        for cut in 0..bytes.len() {
+            assert!(corrupt(decode_objects(&bytes[..cut])), "truncated at {cut}");
+        }
+        // Inflate each u32 count field in turn: the set count, the label,
+        // element, snippet, group, member and `ls` counts.
+        let mut counts = vec![0];
+        let mut pos = 4;
+        for obj in &set {
+            let start = pos;
+            let mut one = Vec::new();
+            obj.encode(&mut one);
+            let name = 8 + 4 + 4 + obj.instance_name.len() + 8 + 1;
+            counts.push(start + name);
+            match &obj.rep {
+                Rep::Classifier(c) => {
+                    // The first label's element count.
+                    counts.push(start + name + 4 + 4 + c.labels[0].len() + 8);
+                }
+                Rep::Cluster(g) => {
+                    let g = &g.groups[0];
+                    let members = start + name + 4 + 8 + 4 + g.rep_text.len() + 8;
+                    counts.push(members);
+                    counts.push(members + 4 + 8 * g.members.len());
+                }
+                Rep::Snippet(_) => {}
+            }
+            pos += one.len();
+        }
+        for at in counts {
+            for inflated in [u32::MAX, 0x7fff_ffff, 1 << 20] {
+                let mut b = bytes.clone();
+                b[at..at + 4].copy_from_slice(&inflated.to_le_bytes());
+                assert!(corrupt(decode_objects(&b)), "count at {at} = {inflated}");
+            }
+        }
     }
 
     #[test]

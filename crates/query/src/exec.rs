@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use instn_core::algebra::{merge_summary_sets, project_eliminate};
+use instn_core::algebra::{merge_summary_sets, project_eliminate, SummaryFold};
 use instn_core::db::Database;
-use instn_core::summary::{decode_objects, encode_objects};
+use instn_core::summary::{decode_objects, encode_objects, SummaryObject};
 use instn_core::{AnnotatedTuple, CoreError};
 use instn_index::{BaselineIndex, MaintainableIndex, SummaryBTree};
 use instn_storage::io::IoStats;
@@ -1901,8 +1901,8 @@ impl Operator for SortOp {
     }
 }
 
-/// Group-by — a pipeline breaker: drains its input at open, then replays
-/// the groups in first-occurrence order.
+/// Group-by — a pipeline breaker: folds its input into the groups as it
+/// drains it at open, then replays them in first-occurrence order.
 struct GroupByOp {
     child: OpNode,
     cols: Vec<usize>,
@@ -1912,11 +1912,11 @@ struct GroupByOp {
 impl Operator for GroupByOp {
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)?;
-        let mut rows = Vec::new();
+        let mut st = AggState::new(self.cols.clone());
         while let Some(t) = self.child.next(ctx)? {
-            rows.push(t);
+            st.absorb(t);
         }
-        self.out = Some(group_rows(ctx.db, rows, &self.cols).into_iter());
+        self.out = Some(st.finish(ctx.db).into_iter());
         Ok(())
     }
 
@@ -1934,7 +1934,8 @@ impl Operator for GroupByOp {
     }
 }
 
-/// DISTINCT — a pipeline breaker: drains its input at open, then replays the
+/// DISTINCT — a pipeline breaker: drains its input at open, collapsing
+/// equal data values and merging their summary sets, then replays the
 /// survivors in first-occurrence order.
 struct DistinctOp {
     child: OpNode,
@@ -1944,11 +1945,25 @@ struct DistinctOp {
 impl Operator for DistinctOp {
     fn open(&mut self, ctx: &mut ExecContext<'_>) -> Result<()> {
         self.child.open(ctx)?;
-        let mut rows = Vec::new();
+        let mut groups = FoldGroups::default();
         while let Some(t) = self.child.next(ctx)? {
-            rows.push(t);
+            // Typed, injective key: `Display` concatenation collided
+            // `Int(1)` with `Text("1")` and separator-embedding strings
+            // across columns.
+            let key = crate::dataindex::composite_key(&t.values);
+            groups.absorb(key, t.values, t.source, t.summaries);
         }
-        self.out = Some(distinct_rows(ctx.db, rows).into_iter());
+        let resolver = ctx.db.text_resolver();
+        let rows: Vec<AnnotatedTuple> = groups
+            .finish()
+            .map(|g| AnnotatedTuple {
+                // A row that met no duplicate keeps its provenance.
+                source: if g.rows == 1 { g.source } else { None },
+                values: g.values,
+                summaries: g.summaries.finish(&resolver),
+            })
+            .collect();
+        self.out = Some(rows.into_iter());
         Ok(())
     }
 
@@ -2256,7 +2271,7 @@ fn run_morsel(
     let mut rows = Vec::new();
     let mut agg = frag.group_cols.clone().map(AggState::new);
     let mut sink = |t: AnnotatedTuple| match &mut agg {
-        Some(st) => st.absorb(db, t),
+        Some(st) => st.absorb(t),
         None => rows.push(t),
     };
     match (input, source) {
@@ -2595,9 +2610,9 @@ impl ExchangeOp {
                 let MorselOut::Agg(st) = slot else {
                     unreachable!("grouped fragments emit partial aggregates")
                 };
-                acc.merge(db, st);
+                acc.merge(st);
             }
-            acc.finish()
+            acc.finish(db)
         } else {
             let mut v = Vec::new();
             for slot in slots.into_iter().flatten() {
@@ -2722,99 +2737,131 @@ impl Operator for ExchangeOp {
 /// Merge a joined pair: concatenate values; merge the summary sets with
 /// common-annotation de-duplication.
 fn merge_pair(db: &Database, l: &AnnotatedTuple, r: &AnnotatedTuple) -> AnnotatedTuple {
-    let common: std::collections::HashSet<instn_annot::AnnotId> = match (l.source, r.source) {
-        (Some((tl, ol)), Some((tr, or))) => {
-            db.common_annotations(tl, ol, tr, or).into_iter().collect()
-        }
-        _ => Default::default(),
-    };
     let resolver = db.text_resolver();
     let mut values = l.values.clone();
     values.extend(r.values.iter().cloned());
     AnnotatedTuple {
         source: None,
         values,
-        summaries: merge_summary_sets(&l.summaries, &r.summaries, &common, &resolver),
+        summaries: merge_summary_sets(&l.summaries, &r.summaries, &resolver),
     }
 }
 
-/// Duplicate elimination with summary merging: equal data values collapse;
-/// their summary sets merge with common-annotation dedup.
-fn distinct_rows(db: &Database, rows: Vec<AnnotatedTuple>) -> Vec<AnnotatedTuple> {
-    let resolver = db.text_resolver();
-    let mut order: Vec<Vec<u8>> = Vec::new();
-    let mut seen: HashMap<Vec<u8>, AnnotatedTuple> = HashMap::new();
-    for t in rows {
-        // Typed, injective key: `Display` concatenation collided
-        // `Int(1)` with `Text("1")` and separator-embedding strings
-        // across columns.
-        let key = crate::dataindex::composite_key(&t.values);
-        match seen.get_mut(&key) {
-            None => {
-                order.push(key.clone());
-                seen.insert(key, t);
+/// Rows keyed by a typed, injective key (`composite_key`) in
+/// first-occurrence order, each key's summary sets folded into one
+/// [`SummaryFold`] as the rows arrive: the state behind GROUP BY and
+/// DISTINCT.
+#[derive(Default)]
+struct FoldGroups {
+    order: Vec<Vec<u8>>,
+    groups: HashMap<Vec<u8>, FoldGroup>,
+}
+
+/// One key's rows.
+struct FoldGroup {
+    /// The first row's values (under GROUP BY, its key columns).
+    values: Vec<Value>,
+    /// The first row's source.
+    source: Option<(TableId, instn_storage::Oid)>,
+    /// Rows folded in.
+    rows: u64,
+    summaries: SummaryFold,
+}
+
+impl FoldGroups {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Fold one row in.
+    fn absorb(
+        &mut self,
+        key: Vec<u8>,
+        values: Vec<Value>,
+        source: Option<(TableId, instn_storage::Oid)>,
+        summaries: Vec<SummaryObject>,
+    ) {
+        match self.groups.get_mut(&key) {
+            Some(g) => {
+                g.rows += 1;
+                g.summaries.absorb(summaries);
             }
-            Some(acc) => {
-                let common: std::collections::HashSet<instn_annot::AnnotId> =
-                    match (acc.source, t.source) {
-                        (Some((ta, oa)), Some((tb, ob))) => {
-                            db.common_annotations(ta, oa, tb, ob).into_iter().collect()
-                        }
-                        _ => Default::default(),
-                    };
-                acc.summaries =
-                    merge_summary_sets(&acc.summaries, &t.summaries, &common, &resolver);
-                acc.source = None;
+            None => {
+                let mut fold = SummaryFold::new();
+                fold.absorb(summaries);
+                self.order.push(key.clone());
+                self.groups.insert(
+                    key,
+                    FoldGroup {
+                        values,
+                        source,
+                        rows: 1,
+                        summaries: fold,
+                    },
+                );
             }
         }
     }
-    order
-        .into_iter()
-        .map(|k| seen.remove(&k).expect("inserted above"))
-        .collect()
-}
 
-/// Group-by with COUNT(*) and summary merging, in first-occurrence order.
-fn group_rows(db: &Database, rows: Vec<AnnotatedTuple>, cols: &[usize]) -> Vec<AnnotatedTuple> {
-    let mut st = AggState::new(cols.to_vec());
-    for t in rows {
-        st.absorb(db, t);
+    /// Fold in the groups of the rows that follow this state's own.
+    /// `other`'s groups arrive in its first-occurrence order, so merging
+    /// partials in morsel order reproduces the serial order exactly.
+    fn merge(&mut self, other: FoldGroups) {
+        let FoldGroups {
+            order,
+            groups: mut other_groups,
+        } = other;
+        for key in order {
+            let g = other_groups.remove(&key).expect("listed in order");
+            match self.groups.get_mut(&key) {
+                Some(mine) => {
+                    mine.rows += g.rows;
+                    mine.summaries.absorb_fold(g.summaries);
+                }
+                None => {
+                    self.order.push(key.clone());
+                    self.groups.insert(key, g);
+                }
+            }
+        }
     }
-    st.finish()
+
+    /// The groups in first-occurrence order.
+    fn finish(self) -> impl Iterator<Item = FoldGroup> {
+        let FoldGroups { order, mut groups } = self;
+        order
+            .into_iter()
+            .map(move |k| groups.remove(&k).expect("inserted with its key"))
+    }
 }
 
 /// A (possibly partial) COUNT(*) group-by state. The serial `GroupBy`
 /// operator feeds one of these every input tuple; under the parallel
 /// executor each worker builds one per morsel and the gather folds them
 /// together with [`AggState::merge`] in morsel order. Merging counts is
-/// exact, and merging summary sets matches the serial fold bit for bit
+/// exact, and merging summary folds matches the serial fold bit for bit
 /// even when an annotation attaches to *multiple* tuples that straddle a
-/// morsel boundary: classifier and snippet merges dedup by annotation id
-/// and source, and the cluster merge is a canonical connected-components
-/// partition of the member ids (`merge_cluster_groups` in
-/// `instn-core::algebra`), so no annotation is ever counted twice and
-/// the fold is associative — see DESIGN.md §8.
+/// morsel boundary: [`SummaryFold::absorb_fold`] equals absorbing the
+/// partial's rows one by one — see DESIGN.md §8.
 struct AggState {
     cols: Vec<usize>,
-    order: Vec<Vec<u8>>,
-    groups: HashMap<Vec<u8>, (Vec<Value>, u64, AnnotatedTuple)>,
+    groups: FoldGroups,
 }
 
 impl AggState {
     fn new(cols: Vec<usize>) -> Self {
         AggState {
             cols,
-            order: Vec::new(),
-            groups: HashMap::new(),
+            groups: FoldGroups::default(),
         }
     }
 
     fn len(&self) -> usize {
-        self.order.len()
+        self.groups.len()
     }
 
     /// Fold one input tuple into the state (the serial per-row step).
-    fn absorb(&mut self, db: &Database, t: AnnotatedTuple) {
+    fn absorb(&mut self, t: AnnotatedTuple) {
         // Group keys must hash; encode values with the typed, injective
         // `composite_key` (a `Display`-string key collided across types
         // and columns) while keeping the first occurrence's values for
@@ -2825,70 +2872,30 @@ impl AggState {
             .map(|&i| t.values.get(i).cloned().unwrap_or(Value::Null))
             .collect();
         let key = crate::dataindex::composite_key(&key_vals);
-        match self.groups.get_mut(&key) {
-            None => {
-                self.order.push(key.clone());
-                self.groups.insert(key, (key_vals, 1, t));
-            }
-            Some((_, count, acc)) => {
-                *count += 1;
-                fold_group(db, acc, &t);
-            }
-        }
+        self.groups.absorb(key, key_vals, None, t.summaries);
     }
 
-    /// Associatively combine another partial state into this one. `other`'s
-    /// groups arrive in its first-occurrence order, so merging partials in
-    /// morsel order reproduces the serial first-occurrence order exactly.
-    fn merge(&mut self, db: &Database, other: AggState) {
-        let AggState {
-            order: other_order,
-            groups: mut other_groups,
-            ..
-        } = other;
-        for key in other_order {
-            let (key_vals, count, acc) = other_groups.remove(&key).expect("listed in order");
-            match self.groups.get_mut(&key) {
-                None => {
-                    self.order.push(key.clone());
-                    self.groups.insert(key, (key_vals, count, acc));
-                }
-                Some((_, c, mine)) => {
-                    *c += count;
-                    fold_group(db, mine, &acc);
-                }
-            }
-        }
+    /// Combine the partial state of the rows that follow this one's.
+    fn merge(&mut self, other: AggState) {
+        self.groups.merge(other.groups);
     }
 
     /// Emit the grouped rows: key values plus the COUNT(*) column.
-    fn finish(mut self) -> Vec<AnnotatedTuple> {
-        let mut out = Vec::with_capacity(self.order.len());
-        for key in self.order {
-            let (mut key_vals, count, acc) = self.groups.remove(&key).expect("inserted above");
-            key_vals.push(Value::Int(count as i64));
-            out.push(AnnotatedTuple {
-                source: None,
-                values: key_vals,
-                summaries: acc.summaries,
-            });
-        }
-        out
+    fn finish(self, db: &Database) -> Vec<AnnotatedTuple> {
+        let resolver = db.text_resolver();
+        self.groups
+            .finish()
+            .map(|g| {
+                let mut values = g.values;
+                values.push(Value::Int(g.rows as i64));
+                AnnotatedTuple {
+                    source: None,
+                    values,
+                    summaries: g.summaries.finish(&resolver),
+                }
+            })
+            .collect()
     }
-}
-
-/// Merge one more tuple's summaries into a group accumulator with
-/// common-annotation de-duplication (the serial `group_rows` fold step).
-fn fold_group(db: &Database, acc: &mut AnnotatedTuple, t: &AnnotatedTuple) {
-    let resolver = db.text_resolver();
-    let common: std::collections::HashSet<instn_annot::AnnotId> = match (acc.source, t.source) {
-        (Some((ta, oa)), Some((tb, ob))) => {
-            db.common_annotations(ta, oa, tb, ob).into_iter().collect()
-        }
-        _ => Default::default(),
-    };
-    acc.summaries = merge_summary_sets(&acc.summaries, &t.summaries, &common, &resolver);
-    acc.source = None;
 }
 
 /// External merge sort: spill sorted runs to a heap file, then k-way

@@ -165,10 +165,9 @@ proptest! {
     ) {
         let a = classifier_with("L", &a_ids);
         let b = classifier_with("L", &b_ids);
-        let common: HashSet<AnnotId> = a_ids.intersection(&b_ids).map(|&i| AnnotId(i)).collect();
         let resolver = |_: AnnotId| None;
-        let ab = merge_objects(&a, &b, &common, &resolver);
-        let ba = merge_objects(&b, &a, &common, &resolver);
+        let ab = merge_objects(&a, &b, &resolver);
+        let ba = merge_objects(&b, &a, &resolver);
         let count = |o: &SummaryObject| match &o.rep {
             Rep::Classifier(c) => c.counts.clone(),
             _ => vec![],
@@ -187,7 +186,6 @@ proptest! {
     ) {
         let a = classifier_with("L", &a_ids);
         let b = classifier_with("L", &b_ids);
-        let common: HashSet<AnnotId> = a_ids.intersection(&b_ids).map(|&i| AnnotId(i)).collect();
         let removed_ids: Vec<AnnotId> = removed.iter().map(|&i| AnnotId(i)).collect();
         let resolver = |_: AnnotId| None;
 
@@ -196,10 +194,10 @@ proptest! {
         let mut eb = vec![b.clone()];
         project_eliminate(&mut ea, &removed_ids, &resolver);
         project_eliminate(&mut eb, &removed_ids, &resolver);
-        let m1 = merge_objects(&ea[0], &eb[0], &common, &resolver);
+        let m1 = merge_objects(&ea[0], &eb[0], &resolver);
 
         // merge-then-eliminate
-        let mut m2 = vec![merge_objects(&a, &b, &common, &resolver)];
+        let mut m2 = vec![merge_objects(&a, &b, &resolver)];
         project_eliminate(&mut m2, &removed_ids, &resolver);
 
         let count = |o: &SummaryObject| match &o.rep {
@@ -221,7 +219,7 @@ proptest! {
         let a = snippet_with(&a_ids);
         let b = snippet_with(&b_ids);
         let resolver = |_: AnnotId| None;
-        let m = merge_objects(&a, &b, &HashSet::new(), &resolver);
+        let m = merge_objects(&a, &b, &resolver);
         let Rep::Snippet(s) = &m.rep else { panic!() };
         let got: HashSet<u64> = s.entries.iter().map(|e| e.source.0).collect();
         let want: HashSet<u64> = a_ids.union(&b_ids).copied().collect();

@@ -22,6 +22,7 @@ use insightnotes::core::instance::InstanceKind;
 use insightnotes::mining::clustream::ClusterParams;
 use insightnotes::mining::nb::NaiveBayes;
 use insightnotes::prelude::{ExecConfig, ExecContext, PhysicalPlan};
+use insightnotes::query::exec::parallelize_plan;
 use insightnotes::storage::{ColumnType, Schema, Value};
 
 /// Two text columns whose composite keys collide under the old
@@ -188,43 +189,61 @@ fn multituple_db(
 /// old first-overlap cluster merge, seed 5 diverged at `morsel_rows = 3,
 /// dop = 2` (one annotation's TF vector summed into two groups at the
 /// gather). Parallel `GroupBy` over multi-tuple attachments must equal
-/// the serial fold exactly, for every tested morsel size and DOP.
+/// the serial fold exactly, for every tested morsel size and DOP. The
+/// same holds for DISTINCT over a parallel scan, whose summary merge runs
+/// above the gather; the corpus links a cluster instance, so both cover
+/// the deferred cluster merge of the summary accumulator.
 #[test]
 fn parallel_group_by_multituple_annotations_match_serial() {
+    let mut clustered = 0;
     for seed in 0..20u64 {
         let (db, t) = multituple_db(seed, 6, 5);
-        let plan = PhysicalPlan::GroupBy {
-            input: Box::new(PhysicalPlan::SeqScan {
-                table: t,
-                with_summaries: true,
-            }),
+        let scan = PhysicalPlan::SeqScan {
+            table: t,
+            with_summaries: true,
+        };
+        let group_by = PhysicalPlan::GroupBy {
+            input: Box::new(scan.clone()),
             cols: vec![1],
         };
-        let mut ctx = ExecContext::new(&db);
-        ctx.config = ExecConfig {
-            dop: 1,
-            morsel_rows: 1,
-            io_stall: Duration::ZERO,
+        let distinct = PhysicalPlan::Distinct {
+            input: Box::new(PhysicalPlan::Project {
+                input: Box::new(scan),
+                cols: vec![1],
+                eliminate: true,
+            }),
         };
-        let serial = ctx.execute(&plan).unwrap();
-        for mr in [1usize, 2, 3] {
-            for dop in [2usize, 4] {
-                let par = PhysicalPlan::Exchange {
-                    input: Box::new(plan.clone()),
-                    dop,
-                };
-                let mut ctx2 = ExecContext::new(&db);
-                ctx2.config = ExecConfig {
-                    dop,
-                    morsel_rows: mr,
-                    io_stall: Duration::ZERO,
-                };
-                let parallel = ctx2.execute(&par).unwrap();
-                assert_eq!(
-                    parallel, serial,
-                    "seed={seed} morsel_rows={mr} dop={dop} diverged"
-                );
+        for plan in [group_by, distinct] {
+            let mut ctx = ExecContext::new(&db);
+            ctx.config = ExecConfig {
+                dop: 1,
+                morsel_rows: 1,
+                io_stall: Duration::ZERO,
+            };
+            let serial = ctx.execute(&plan).unwrap();
+            clustered += serial
+                .iter()
+                .filter_map(|r| r.summary_by_name("K"))
+                .filter(|k| k.size() > 0)
+                .count();
+            for mr in [1usize, 2, 3] {
+                for dop in [2usize, 4] {
+                    let par = parallelize_plan(&plan, dop);
+                    assert!(par.to_string().contains("Exchange"), "{par}");
+                    let mut ctx2 = ExecContext::new(&db);
+                    ctx2.config = ExecConfig {
+                        dop,
+                        morsel_rows: mr,
+                        io_stall: Duration::ZERO,
+                    };
+                    let parallel = ctx2.execute(&par).unwrap();
+                    assert_eq!(
+                        parallel, serial,
+                        "seed={seed} morsel_rows={mr} dop={dop} diverged on {plan}"
+                    );
+                }
             }
         }
     }
+    assert!(clustered > 0, "the corpus must produce cluster groups");
 }
